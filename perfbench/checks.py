@@ -14,11 +14,7 @@ A failed check is recorded in :attr:`Checks.failures` and fails the run.
 
 from __future__ import annotations
 
-import math
-from collections import Counter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines.exact import ExactQuantiles
 from repro.registry import SketchRegistry
@@ -28,9 +24,6 @@ from repro.service.protocol import decode_push_envelope
 from workloads import METRIC, QUANTILES, THRESHOLD_QUANTILE, WINDOW_INTERVALS, FleetData
 
 ALPHA = 0.01
-#: Largest multiset handed to ExactQuantiles, which stores one Python float
-#: per value; larger weighted multisets use the same rank rule in NumPy.
-_EXACT_LIMIT = 4_000_000
 
 
 class Checks:
@@ -77,38 +70,12 @@ class Ledger:
         """Exact lower quantiles of the sliced values, optionally in a window."""
         data = self.data
         endpoint = int(data.slice_endpoint[2:])
-        pool = data.workload.pool
-        uses = Counter(
-            (host, interval % pool if pool else interval)
-            for host, interval in self.frames
-            if window is None or window[0] <= interval < window[1]
-        )
-        parts = []
-        for (host, key), weight in sorted(uses.items()):
-            groups, values = data.batch(host, key)
-            parts.append((values[groups // data.workload.statuses == endpoint], weight))
-        total = sum(len(values) * weight for values, weight in parts)
-        if total <= _EXACT_LIMIT:
-            exact = ExactQuantiles()
-            for values, weight in parts:
-                exact.add_batch(values, None if weight == 1 else np.full(len(values), weight))
-            return [exact.quantile(q) for q in QUANTILES]
-        return _weighted_lower_quantiles(parts, QUANTILES)
-
-
-def _weighted_lower_quantiles(
-    parts: Sequence[Tuple[np.ndarray, int]], quantiles: Iterable[float]
-) -> List[float]:
-    """ExactQuantiles' rank rule over a multiset given as weighted arrays."""
-    values = np.concatenate([values for values, _ in parts])
-    weights = np.concatenate([np.full(len(v), w, dtype=np.int64) for v, w in parts])
-    order = np.argsort(values, kind="stable")
-    values, cumulative = values[order], np.cumsum(weights[order])
-    total = int(cumulative[-1])
-    return [
-        float(values[np.searchsorted(cumulative, math.floor(q * (total - 1)), side="right")])
-        for q in quantiles
-    ]
+        exact = ExactQuantiles()
+        for host, interval in self.frames:
+            if window is None or window[0] <= interval < window[1]:
+                groups, values = data.batch(host, interval)
+                exact.add_batch(values[groups // data.workload.statuses == endpoint])
+        return [exact.quantile(q) for q in QUANTILES]
 
 
 def build_reference(

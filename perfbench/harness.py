@@ -126,22 +126,6 @@ class RecordingClient(ServiceClient):
         return ack
 
 
-def cpu_probe_ms() -> float:
-    """Median time of a fixed pure-Python loop, to record the host's speed.
-
-    Shared hosts change speed from minute to minute; the probe, taken at the
-    start and end of a run, tells runs made on a slow host from slow code.
-    """
-    samples = []
-    for _ in range(5):
-        began = time.perf_counter()
-        total = 0
-        for index in range(200_000):
-            total += index * index
-        samples.append(time.perf_counter() - began)
-    return median(samples) * 1e3
-
-
 def percentile(samples: Sequence[float], q: float) -> float:
     """Nearest-rank ``q``-quantile (``q`` in ``[0, 1]``) of a non-empty sample."""
     ordered = sorted(samples)

@@ -57,7 +57,7 @@ def main(argv=None) -> int:
 
     from repro import kernel
 
-    from harness import BenchmarkError, cpu_probe_ms
+    from harness import BenchmarkError
     from workloads import WORKLOADS
 
     if args.workload not in WORKLOADS:
@@ -70,7 +70,6 @@ def main(argv=None) -> int:
     work = scratch / f"run-{os.getpid()}"
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir(parents=True)
-    probe_ms = [cpu_probe_ms()]
     try:
         if args.trace:
             from traced import run_traced
@@ -89,7 +88,6 @@ def main(argv=None) -> int:
         return 3
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    probe_ms.append(cpu_probe_ms())
 
     run_record = {
         "workload": workload.name,
@@ -100,7 +98,6 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "kernel_backend": backend,
-        "cpu_probe_ms": probe_ms,
         "server": {
             "fsync": False,
             "snapshot_every": workload.snapshot_every,

@@ -5,7 +5,7 @@ The run makes one serial pass per kernel backend (the active one, then
 
 * client side, spans around each generator-side call: batch generation,
   ``record_grouped``, the agent flush, ``compress_frame``, the envelope
-  build, the open-loop wait, the push round trip and each query;
+  build, the push round trip and each query;
 * server side, the acknowledged envelopes are replayed in this process
   through the server's public accept pipeline in its order
   (``decode_push_envelope(validate_frame=True)`` -> ``is_duplicate`` ->
@@ -14,10 +14,10 @@ The run makes one serial pass per kernel backend (the active one, then
   ``AggregationServer.recover`` and queried like the server was.
 
 The pass is fixed work, so its counts repeat exactly for one seed and
-``--seconds`` does not apply to it.  The
-on-path spans must cover the pass's wall time to within 10%.  The same
-pass is made once more untraced; the wall-time difference is the tracing
-overhead.
+``--seconds`` does not apply to it.  Its busy time is its wall time less
+the open-loop sleeps to schedule slots.  The on-path spans must cover the
+busy time to within 10%.  The same pass is made once more untraced; the
+busy-time difference is the tracing overhead.
 """
 
 from __future__ import annotations
@@ -54,37 +54,28 @@ OFF_PATH = ("kernel.compute_keys", "serialization.decode_frame")
 
 
 class Tracer:
-    """In-memory spans: name, start, end and the index of the enclosing span."""
+    """In-memory spans: ``(name, duration)`` in the order they closed."""
 
     def __init__(self) -> None:
-        self.spans: List[list] = []
-        self._open: List[int] = []
+        self.spans: List[Tuple[str, float]] = []
 
     @contextlib.contextmanager
     def span(self, name: str):
-        index = len(self.spans)
-        parent = self._open[-1] if self._open else None
-        self.spans.append([name, time.perf_counter(), None, parent])
-        self._open.append(index)
+        began = time.perf_counter()
         try:
             yield
         finally:
-            self.spans[index][2] = time.perf_counter()
-            self._open.pop()
+            self.spans.append((name, time.perf_counter() - began))
 
     def self_times(self) -> Dict[str, float]:
-        """Total self time per span name: duration minus the children's."""
+        """Total time per span name (spans never nest)."""
         totals: Dict[str, float] = {}
-        for name, start, end, _ in self.spans:
-            totals[name] = totals.get(name, 0.0) + (end - start)
-        for name, start, end, parent in self.spans:
-            if parent is not None:
-                parent_name = self.spans[parent][0]
-                totals[parent_name] -= end - start
+        for name, duration in self.spans:
+            totals[name] = totals.get(name, 0.0) + duration
         return totals
 
     def durations(self, name: str) -> List[float]:
-        return [end - start for span_name, start, end, _ in self.spans if span_name == name]
+        return [duration for span_name, duration in self.spans if span_name == name]
 
 
 class _NoTracer:
@@ -97,11 +88,12 @@ NO_TRACE = _NoTracer()
 
 
 def serial_pass(data: FleetData, server, tracer, ledger: Ledger,
-                errors: Errors) -> Tuple[float, List[bytes], Dict[str, object]]:
+                errors: Errors) -> Tuple[float, float, List[bytes], Dict[str, object]]:
     """Preload untraced, then push the pass's frames and ask its queries.
 
     Everything goes through one connection.  Returns the pass's wall time,
-    every acknowledged envelope (preload first) and the pass's bookkeeping.
+    the part of it spent waiting for open-loop schedule slots, every
+    acknowledged envelope (preload first) and the pass's bookkeeping.
     """
     workload = data.workload
     client = server.client(timeout=60.0)
@@ -116,13 +108,15 @@ def serial_pass(data: FleetData, server, tracer, ledger: Ledger,
         lateness: List[float] = []
         raw_bytes = compressed_bytes = 0
         kinds = ["slice", "window", "threshold"]
+        pushes = 0
+        waited = 0.0
         began = time.perf_counter()
         last_ack = began
         for interval in range(first, first + workload.trace_intervals):
             for host in data.active_hosts(interval):
                 # A closed-loop connection is due to send again when its
                 # previous ACK lands; an open-loop one at its schedule slot.
-                due = began + len(frames) * period if period else last_ack
+                due = began + pushes * period if period else last_ack
                 if not period:
                     lateness.append(time.perf_counter() - due)
                 with tracer.span("generator.batch"):
@@ -138,20 +132,25 @@ def serial_pass(data: FleetData, server, tracer, ledger: Ledger,
                         body, host=frame.host, interval_start=frame.interval_start
                     )
                 if period:
-                    with tracer.span("generator.wait"):
-                        wait = due - time.perf_counter()
-                        if wait > 0:
-                            time.sleep(wait)
+                    # Sleeping to the slot is schedule, not work: it is
+                    # neither spanned nor part of the pass's busy time.
+                    slept = time.perf_counter()
+                    wait = due - slept
+                    if wait > 0:
+                        time.sleep(wait)
+                    waited += time.perf_counter() - slept
                     lateness.append(time.perf_counter() - due)
                 with tracer.span("service.push"):
-                    errors.attempt(client.push_envelope, envelope)
+                    ack = errors.attempt(client.push_envelope, envelope)
                 last_ack = time.perf_counter()
-                frames.append((host, interval))
-                ledger.add(host, interval)
-                raw_bytes += len(frame.payload)
-                compressed_bytes += len(body)
+                pushes += 1
+                if ack is not None:
+                    frames.append((host, interval))
+                    ledger.add(host, interval)
+                    raw_bytes += len(frame.payload)
+                    compressed_bytes += len(body)
                 if period:
-                    kind = kinds[(len(frames) - 1) % 3]
+                    kind = kinds[(pushes - 1) % 3]
                     with tracer.span(f"query.{kind}"):
                         errors.attempt(query_once, client, data, kind, interval)
         if not period:
@@ -169,7 +168,7 @@ def serial_pass(data: FleetData, server, tracer, ledger: Ledger,
             "overloads": client.counters["overloads"],
             "preloaded": len(preload),
         }
-        return wall, list(client.envelopes), info
+        return wall, waited, list(client.envelopes), info
     finally:
         client.close()
 
@@ -227,7 +226,8 @@ def layer_metrics(data: FleetData, server, work: Path, label: str,
     """One backend's per-layer metrics from a traced pass plus its replay."""
     workload = data.workload
     tracer = Tracer()
-    wall, envelopes, info = serial_pass(data, server, tracer, ledger, errors)
+    wall, waited, envelopes, info = serial_pass(data, server, tracer, ledger, errors)
+    busy = wall - waited
     frames = info["frames"]
     values = len(frames) * workload.values_per_frame
     series = len(frames) * workload.series_per_host
@@ -244,7 +244,7 @@ def layer_metrics(data: FleetData, server, work: Path, label: str,
     on_path = {
         name: seconds for name, seconds in tracer.self_times().items() if name not in OFF_PATH
     }
-    coverage = sum(on_path.values()) / wall
+    coverage = sum(on_path.values()) / busy
 
     replay_dir = work / f"replay-{label}"
     state, replay = replay_server(envelopes, info["preloaded"], workload, replay_dir, tracer)
@@ -332,6 +332,7 @@ def layer_metrics(data: FleetData, server, work: Path, label: str,
     detail = {
         "counts": counts,
         "wall_s": wall,
+        "busy_s": busy,
         "coverage": coverage,
         "self_time_s": {name: round(seconds, 6) for name, seconds in sorted(totals.items())},
         "envelopes": envelopes,
@@ -418,7 +419,8 @@ def run_traced(workload: Workload, seed: int, work: Path, root: Path, kernel_cac
     # The same pass once more with tracing off, for the tracing overhead.
     server, _ = start_server(work, "untraced", workload, kernel_cache, root, kernel=backend)
     try:
-        untraced_wall, _, _ = serial_pass(data, server, NO_TRACE, Ledger(data), errors)
+        untraced_wall, untraced_waited, _, _ = serial_pass(
+            data, server, NO_TRACE, Ledger(data), errors)
     finally:
         server.stop()
     errors.failed += int(active_layer["service.client.overloads"]["value"])
@@ -426,11 +428,14 @@ def run_traced(workload: Workload, seed: int, work: Path, root: Path, kernel_cac
 
     metrics: Dict[str, dict] = dict(active_layer)
     metrics.update({f"numpy.{name}": entry for name, entry in numpy_layer.items()})
-    metrics["trace.overhead_ratio"] = metric(active_detail["wall_s"] / untraced_wall - 1.0, "ratio")
+    untraced_busy = untraced_wall - untraced_waited
+    metrics["trace.overhead_ratio"] = metric(active_detail["busy_s"] / untraced_busy - 1.0, "ratio")
     metrics["error_rate"] = metric(errors.failed / errors.attempted, "ratio")
     record = {
         "traced_wall_s": active_detail["wall_s"],
+        "traced_busy_s": active_detail["busy_s"],
         "untraced_wall_s": untraced_wall,
+        "untraced_busy_s": untraced_busy,
         "self_time_s": active_detail["self_time_s"],
         "counts": active_detail["counts"],
         "backends": backends,

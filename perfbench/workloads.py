@@ -1,4 +1,4 @@
-"""The benchmark's three workloads and their seeded input generators.
+"""The benchmark's workloads and their seeded input generators.
 
 Every input is a pure function of ``(seed, host, interval)``, so two runs
 with one seed push byte-identical frames in the same per-host order, and
@@ -50,13 +50,12 @@ class Workload:
     preload_intervals: int = 0
     #: Open-loop push rate in frames per second; 0 means closed loop.
     push_rate: float = 0.0
-    #: Distinct value batches per host, cycled; 0 draws every interval fresh.
-    pool: int = 0
     #: Intervals per host over which the deterministic counts are taken.
     count_intervals: int = 4
     #: Serial (traced) pass: intervals pushed after any preload.
     trace_intervals: int = 8
-    #: Least pushes and answers per query kind in an untraced run.
+    #: Timed pushes (exactly, in closed loop) and least answers per query
+    #: kind in an untraced run.
     push_samples: int = 210
     query_samples: int = 110
 
@@ -79,34 +78,15 @@ WORKLOADS: Dict[str, Workload] = {
                 "state apply, snapshots) dominates and kernel arithmetic is near zero"
             ),
             hosts=8,
-            endpoints=12,
+            endpoints=8,
             statuses=5,
-            values_per_frame=1200,
+            values_per_frame=800,
             compression="zlib",
             snapshot_every=128,
             push_connections=2,
             active_hosts=8,
-            push_samples=420,
+            push_samples=768,
             trace_intervals=16,
-        ),
-        Workload(
-            name="dense_ingest",
-            why=(
-                "kernel binning in the agent dominates and the per-series codec "
-                "and apply path is near zero"
-            ),
-            hosts=2,
-            endpoints=8,
-            statuses=1,
-            values_per_frame=250_000,
-            compression="none",
-            snapshot_every=64,
-            push_connections=2,
-            active_hosts=2,
-            pool=4,
-            trace_intervals=16,
-            push_samples=800,
-            query_samples=330,
         ),
         Workload(
             name="dashboard_mixed",
@@ -170,26 +150,15 @@ class FleetData:
         p99 = np.exp(self.mu + 2.326 * SIGMA)
         self.threshold = float(np.quantile(p99, THRESHOLD_SELECTIVITY))
         self.slice_endpoint = f"/e{self.seed % workload.endpoints:02d}"
-        self._pool: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
-        if workload.pool:
-            for host in range(workload.active_hosts):
-                self._pool[host] = [
-                    self._draw(host, index) for index in range(workload.pool)
-                ]
 
-    def _draw(self, host: int, interval: int) -> Tuple[np.ndarray, np.ndarray]:
+    def batch(self, host: int, interval: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(group_indices, values)`` host ``host`` records in ``interval``."""
         rng = np.random.default_rng([self.seed, host, interval])
         groups = rng.integers(
             0, self.workload.series_per_host, self.workload.values_per_frame, dtype=np.int64
         )
         values = np.exp(self.mu[host][groups] + SIGMA * rng.standard_normal(groups.size))
         return groups, values
-
-    def batch(self, host: int, interval: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(group_indices, values)`` host ``host`` records in ``interval``."""
-        if self.workload.pool:
-            return self._pool[host][interval % self.workload.pool]
-        return self._draw(host, interval)
 
     def active_hosts(self, interval: int) -> List[int]:
         """Hosts pushing in ``interval`` (all of them unless the fleet churns)."""
