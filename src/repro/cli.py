@@ -48,11 +48,9 @@ Four subcommands cover the common workflows:
     ``BENCH_overload.json``.
 
 ``version``
-    Print the package version plus the ingest-kernel diagnostics: which
-    kernel backend (``numpy`` or the compiled ``native`` one) is active,
-    whether the native backend is available on this host (and, if not,
-    why), and the ``REPRO_KERNEL`` override in effect — the first thing
-    to check when comparing benchmark numbers from two machines.
+    Print the package, Python and NumPy versions, the ingest-kernel
+    backend and the frame compressions available on this host — the first
+    thing to check when comparing benchmark numbers from two machines.
 
 ``simulate``
     Run the Section 1 monitoring fleet end to end — agents sketching skewed
@@ -540,21 +538,15 @@ def _run_version(stdout) -> int:
 
     import repro
     from repro import kernel
+    from repro.serialization.frame import frame_compressions
 
-    info = kernel.backend_info()
     rows = [
         ["repro", repro.__version__],
         ["python", platform.python_version()],
         ["numpy", np.__version__],
-        ["kernel backend", info["active"]],
-        ["native available", "yes" if info["native_available"] else "no"],
+        ["kernel backend", kernel.active_backend()],
+        ["frame compression", ",".join(frame_compressions())],
     ]
-    if not info["native_available"]:
-        rows.append(["native unavailable", str(info["native_unavailable_reason"])])
-    rows.append(["REPRO_KERNEL", info["env"] if info["env"] is not None else "(unset)"])
-    from repro.serialization.frame import frame_compressions
-
-    rows.append(["frame compression", ",".join(frame_compressions())])
     print(format_table(["component", "value"], rows), file=stdout)
     return 0
 
@@ -584,7 +576,6 @@ def _run_simulate(args: argparse.Namespace, stdout) -> int:
         ["requests", f"{report.total_requests}"],
         ["bytes on wire", f"{report.bytes_on_wire}"],
         ["max relative error", f"{report.max_relative_error():.6g}"],
-        ["kernel backend", report.kernel_backend],
     ]
     print(format_table(["statistic", "value"], rows), file=stdout)
     print("", file=stdout)
@@ -836,7 +827,6 @@ def _run_load_gen(args: argparse.Namespace, stdout) -> int:
         ["values pushed", f"{metrics['values']}"],
         ["bytes on wire", f"{metrics['bytes_on_wire']}"],
         ["durability", "segment log" if metrics["durable"] else "in-memory"],
-        ["kernel backend", metrics["kernel_backend"]],
         ["elapsed", f"{metrics['seconds']:.3f} s"],
         ["frames/sec", f"{metrics['frames_per_sec']:.0f}"],
         ["values/sec", f"{metrics['values_per_sec']:.0f}"],

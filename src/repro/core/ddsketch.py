@@ -285,11 +285,10 @@ class BaseDDSketch:
         ``O(len(values))`` — one key computation and one counter
         accumulation per value, as in Section 2.1 of the paper, without the
         per-value Python call chain.  This method is a thin adapter over
-        :mod:`repro.kernel`: the sign split and key computation run in the
-        active kernel backend (NumPy or compiled), the stores consume the
-        resulting per-sign selections through their segment hooks, and the
-        exact summaries come from shared array reductions — so the resulting
-        sketch is bit-identical across backends, and identical to looping
+        :mod:`repro.kernel`: the kernel performs the sign split and key
+        computation, the stores consume the resulting per-sign selections
+        through their segment hooks, and the exact summaries come from array
+        reductions — so the resulting sketch is identical to looping
         :meth:`add` over the batch (same buckets and counts, same
         ``count``/``min``/``max``; ``sum`` may differ only by summation
         order).
@@ -877,24 +876,8 @@ class DDSketch(BaseDDSketch):
             store=CollapsingLowestDenseStore(bin_limit=bin_limit),
             negative_store=CollapsingHighestDenseStore(bin_limit=bin_limit),
         )
-        self._bin_limit = bin_limit
 
     @property
     def bin_limit(self) -> int:
         """Maximum number of buckets per store before collapsing begins."""
-        return self._bin_limit
-
-    def copy(self) -> "DDSketch":
-        new = type(self)(
-            relative_accuracy=self.relative_accuracy,
-            bin_limit=self._bin_limit,
-            mapping=self._mapping,
-        )
-        new._store = self._store.copy()
-        new._negative_store = self._negative_store.copy()
-        new._zero_count = self._zero_count
-        new._min = self._min
-        new._max = self._max
-        new._count = self._count
-        new._sum = self._sum
-        return new
+        return self._store.bin_limit

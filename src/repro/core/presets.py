@@ -62,12 +62,11 @@ class LogCollapsingLowestDenseDDSketch(BaseDDSketch):
             store=CollapsingLowestDenseStore(bin_limit=bin_limit),
             negative_store=CollapsingHighestDenseStore(bin_limit=bin_limit),
         )
-        self._bin_limit = int(bin_limit)
 
     @property
     def bin_limit(self) -> int:
         """Maximum number of buckets per store before collapsing begins."""
-        return self._bin_limit
+        return self._store.bin_limit
 
 
 class LogCollapsingHighestDenseDDSketch(BaseDDSketch):
@@ -88,12 +87,11 @@ class LogCollapsingHighestDenseDDSketch(BaseDDSketch):
             store=CollapsingHighestDenseStore(bin_limit=bin_limit),
             negative_store=CollapsingLowestDenseStore(bin_limit=bin_limit),
         )
-        self._bin_limit = int(bin_limit)
 
     @property
     def bin_limit(self) -> int:
         """Maximum number of buckets per store before collapsing begins."""
-        return self._bin_limit
+        return self._store.bin_limit
 
 
 class LogUnboundedDenseDDSketch(BaseDDSketch):
@@ -136,12 +134,11 @@ class FastDDSketch(BaseDDSketch):
             store=CollapsingLowestDenseStore(bin_limit=bin_limit),
             negative_store=CollapsingHighestDenseStore(bin_limit=bin_limit),
         )
-        self._bin_limit = int(bin_limit)
 
     @property
     def bin_limit(self) -> int:
         """Maximum number of buckets per store before collapsing begins."""
-        return self._bin_limit
+        return self._store.bin_limit
 
 
 class SparseDDSketch(BaseDDSketch):

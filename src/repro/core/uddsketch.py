@@ -77,7 +77,6 @@ class UDDSketch(BaseDDSketch):
     # are well-formed before the decoder restores the real values.
     _collapse_count: int = 0
     _initial_relative_accuracy: Optional[float] = None
-    _bin_limit: int = DEFAULT_UNIFORM_BIN_LIMIT
 
     def __init__(
         self,
@@ -103,7 +102,6 @@ class UDDSketch(BaseDDSketch):
             store=UniformCollapsingDenseStore(bin_limit=bin_limit),
             negative_store=UniformCollapsingDenseStore(bin_limit=bin_limit),
         )
-        self._bin_limit = int(bin_limit)
         self._initial_relative_accuracy = float(mapping.relative_accuracy)
         self._collapse_count = 0
 
@@ -114,7 +112,7 @@ class UDDSketch(BaseDDSketch):
     @property
     def bin_limit(self) -> int:
         """Bucket budget per store before a uniform collapse is triggered."""
-        return self._bin_limit
+        return self._store.bin_limit
 
     @property
     def initial_relative_accuracy(self) -> float:
@@ -218,19 +216,8 @@ class UDDSketch(BaseDDSketch):
         self._sync_collapses()
 
     def copy(self) -> "UDDSketch":
-        new = type(self).__new__(type(self))
-        BaseDDSketch.__init__(
-            new,
-            mapping=self._mapping,
-            store=self._store.copy(),
-            negative_store=self._negative_store.copy(),
-            zero_count=self._zero_count,
-        )
-        new._min = self._min
-        new._max = self._max
-        new._count = self._count
-        new._sum = self._sum
-        new._bin_limit = self._bin_limit
+        new = super().copy()
+        assert isinstance(new, UDDSketch)
         new._collapse_count = self._collapse_count
         new._initial_relative_accuracy = self._initial_relative_accuracy
         return new
@@ -243,7 +230,7 @@ class UDDSketch(BaseDDSketch):
         payload = super().to_dict()
         payload["initial_relative_accuracy"] = self.initial_relative_accuracy
         payload["collapse_count"] = self._collapse_count
-        payload["bin_limit"] = self._bin_limit
+        payload["bin_limit"] = self.bin_limit
         return payload
 
     @classmethod
@@ -262,7 +249,6 @@ class UDDSketch(BaseDDSketch):
             initial_accuracy = (
                 float(initial) if initial is not None else sketch._mapping.relative_accuracy
             )
-            bin_limit = int(payload.get("bin_limit", sketch._store.bin_limit))
         except (TypeError, ValueError) as error:
             raise DeserializationError(f"malformed sketch payload: {error}") from error
         if not 0 <= collapse_count <= MAX_COLLAPSE_COUNT:
@@ -275,7 +261,6 @@ class UDDSketch(BaseDDSketch):
             )
         sketch._collapse_count = collapse_count
         sketch._initial_relative_accuracy = initial_accuracy
-        sketch._bin_limit = bin_limit
         return sketch
 
     # ------------------------------------------------------------------ #

@@ -7,30 +7,20 @@ pipeline (:func:`repro.store.grouped.add_grouped_batch`), the registry flush
 paths, and the frame-v3 bucket codec all call into this module instead of
 carrying their own key-computation or binning loops.
 
-Two interchangeable backends implement the inner loops:
-
-* ``numpy`` — the pure-NumPy reference (:mod:`repro.kernel.reference`),
-  always available, and definitionally correct;
-* ``native`` — a small C library compiled on demand from
-  ``src/repro/kernel/_kernel.c`` and loaded via ctypes
-  (:mod:`repro.kernel.native`).  A *soft* dependency: it requires only a C
-  compiler on the host, and silently gives way to NumPy when one is missing.
-
-Selection: :func:`set_backend` programmatically, or the ``REPRO_KERNEL``
-environment variable (``auto`` — the default — prefers native when it can be
-built and self-tested; ``numpy`` forces the reference; ``native`` requires
-the compiled backend, warning and falling back if unavailable).  Both
-backends are bit-exact down to serialized frame bytes — enforced by a native
-load-time self-test and by ``tests/test_kernel_backends.py``.
+Every operation is a NumPy array expression (mask comparisons,
+``key_batch`` per sign, ``clip`` + ``bincount`` binning, the flat-index
+grouped ``bincount``) or, for the wire codecs, a per-bucket varint loop
+(:mod:`repro.kernel.codec`).
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from typing import Optional
 
+import numpy as np
+
 from repro.exceptions import IllegalArgumentError
+from repro.kernel.codec import decode_bucket_pairs, encode_bucket_pairs, encode_proto_bins
 from repro.kernel.segments import (
     NEGATIVE,
     POSITIVE,
@@ -40,7 +30,6 @@ from repro.kernel.segments import (
     apply_segments,
     classify_value,
     coerce_values_weights,
-    selection_from_keys,
 )
 
 __all__ = [
@@ -51,7 +40,6 @@ __all__ = [
     "SignSplit",
     "active_backend",
     "apply_segments",
-    "backend_info",
     "bin_grouped",
     "bin_selection",
     "classify_value",
@@ -60,125 +48,26 @@ __all__ = [
     "decode_bucket_pairs",
     "encode_bucket_pairs",
     "encode_proto_bins",
-    "native_available",
-    "selection_from_keys",
     "set_backend",
 ]
 
-#: Environment variable selecting the kernel backend (``auto``/``numpy``/``native``).
-BACKEND_ENV = "REPRO_KERNEL"
-
-_VALID_CHOICES = ("auto", "numpy", "native")
-
-_active = None  # resolved lazily on first kernel call
-
-
-def _numpy_backend():
-    from repro.kernel.reference import NumpyBackend
-
-    return NumpyBackend()
-
-
-def _resolve_backend(choice: str, *, strict: bool):
-    """Instantiate the backend for ``choice``.
-
-    ``strict`` controls what happens when ``native`` is requested but
-    unavailable: raise (programmatic :func:`set_backend`) versus warn and
-    fall back (environment-variable selection, which must never break a
-    deployment that merely lost its compiler).
-    """
-    if choice == "numpy":
-        return _numpy_backend()
-    from repro.kernel.native import NativeKernelUnavailable, load_native_backend
-
-    if choice == "native":
-        try:
-            return load_native_backend()
-        except NativeKernelUnavailable as error:
-            if strict:
-                raise IllegalArgumentError(
-                    f"native kernel backend unavailable: {error}"
-                ) from error
-            warnings.warn(
-                f"REPRO_KERNEL=native requested but unavailable ({error}); "
-                "falling back to the numpy backend",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return _numpy_backend()
-    # auto: prefer native, quietly use numpy otherwise.
-    try:
-        return load_native_backend()
-    except NativeKernelUnavailable:
-        return _numpy_backend()
-
-
-def _backend():
-    """The active backend object, resolving ``REPRO_KERNEL`` on first use."""
-    global _active
-    if _active is None:
-        choice = os.environ.get(BACKEND_ENV, "auto").strip().lower() or "auto"
-        if choice not in _VALID_CHOICES:
-            warnings.warn(
-                f"unknown {BACKEND_ENV}={choice!r} (expected one of "
-                f"{', '.join(_VALID_CHOICES)}); using auto",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            choice = "auto"
-        _active = _resolve_backend(choice, strict=False)
-    return _active
-
 
 def set_backend(name: str) -> str:
-    """Select the kernel backend programmatically.
+    """Select the kernel backend; ``"numpy"`` is the only one.
 
-    ``name`` is ``"numpy"``, ``"native"``, or ``"auto"``.  Requesting
-    ``"native"`` when it cannot be compiled/loaded raises
-    :class:`~repro.exceptions.IllegalArgumentError` (unlike the environment
-    variable, which warns and falls back).  Returns the name of the backend
-    now active.  Existing sketches are unaffected retroactively; the backend
-    only changes how *future* kernel calls execute — results are bit-exact
-    either way.
+    Returns ``"numpy"``.  Any other name raises
+    :class:`~repro.exceptions.IllegalArgumentError`.
     """
-    global _active
-    choice = str(name).strip().lower()
-    if choice not in _VALID_CHOICES:
+    if str(name).strip().lower() != "numpy":
         raise IllegalArgumentError(
-            f"unknown kernel backend {name!r}; expected one of {', '.join(_VALID_CHOICES)}"
+            f"unknown kernel backend {name!r}; the only backend is 'numpy'"
         )
-    _active = _resolve_backend(choice, strict=True)
-    return _active.name
+    return "numpy"
 
 
 def active_backend() -> str:
-    """Name of the backend currently serving kernel calls (``numpy``/``native``)."""
-    return _backend().name
-
-
-def native_available() -> bool:
-    """Whether the compiled backend can be built, loaded, and self-tested here."""
-    from repro.kernel.native import availability
-
-    return availability()[0]
-
-
-def backend_info() -> dict:
-    """Diagnostics for ``--version`` output and BENCH artifacts.
-
-    Returns a dict with the ``active`` backend name, whether ``native`` is
-    available, the unavailability ``reason`` (or ``None``), and the raw
-    ``REPRO_KERNEL`` environment setting.
-    """
-    from repro.kernel.native import availability
-
-    available, reason = availability()
-    return {
-        "active": active_backend(),
-        "native_available": available,
-        "native_unavailable_reason": reason,
-        "env": os.environ.get(BACKEND_ENV),
-    }
+    """Name of the backend serving kernel calls: always ``"numpy"``."""
+    return "numpy"
 
 
 def compute_keys(mapping, values) -> SignSplit:
@@ -188,55 +77,49 @@ def compute_keys(mapping, values) -> SignSplit:
     ``mapping.min_possible`` map through ``mapping``'s key function, values
     strictly below its negation map by magnitude, and the remainder land in
     the zero bucket.  Returns a :class:`SignSplit` exposing per-sign masks,
-    compressed keys, key ranges, and :meth:`~SignSplit.selection` packaging.
+    keys, key ranges, and :meth:`~SignSplit.selection` packaging.
     """
-    return _backend().split_keys(mapping, values)
+    return SignSplit(mapping, values)
 
 
-def bin_selection(selection: Selection, lo: int, hi: int):
+def bin_selection(selection: Selection, lo: int, hi: int) -> "np.ndarray":
     """Bin a :class:`Selection` into the key window ``[lo, hi]``.
 
-    Returns a dense count array of ``hi - lo + 1`` cells; out-of-window keys
-    accumulate onto the boundary cells, matching bounded-store folding.
+    Returns a dense count array of ``hi - lo + 1`` cells.  Out-of-window
+    keys clip onto the boundary cells — exactly where a bounded store's
+    per-item path folds them.  ``bincount`` accumulates in input order, so
+    fractional weights sum in the same order as a per-item loop.
     """
-    return _backend().bin_selection(selection, lo, hi)
+    indices = np.clip(selection.keys, lo, hi) - lo
+    return np.bincount(indices, weights=selection.weights, minlength=hi - lo + 1)
 
 
-def bin_grouped(group_indices, keys, weights, num_groups, offset, span, scratch=None):
+def bin_grouped(
+    group_indices: "np.ndarray",
+    keys: "np.ndarray",
+    weights: Optional["np.ndarray"],
+    num_groups: int,
+    offset: int,
+    span: int,
+    scratch=None,
+) -> "np.ndarray":
     """Bin a grouped batch into a ``num_groups x span`` cell grid.
 
     Cell ``(g, k - offset)`` accumulates the weight of every sample with
     group ``g`` and key ``k``; the caller guarantees all keys fall in
-    ``[offset, offset + span)``.  ``scratch`` optionally recycles the
-    reference backend's flat-index temporary for single-writer callers.
+    ``[offset, offset + span)``.  One combined ``bincount`` runs over the
+    flat index ``group * span + key - offset``.  ``scratch`` (a
+    :class:`repro.store.grouped.GroupedScratch`) lets a single-writer caller
+    reuse the batch-sized flat-index temporary; the in-place arithmetic
+    produces bit-identical indices.
     """
-    return _backend().bin_grouped(
-        group_indices, keys, weights, num_groups, offset, span, scratch=scratch
-    )
-
-
-def encode_bucket_pairs(deltas, counts) -> bytes:
-    """Encode frame-v3 ``(zig-zag key delta, float64 count)`` bucket pairs."""
-    return _backend().encode_bucket_pairs(deltas, counts)
-
-
-def decode_bucket_pairs(reader, num_buckets: int):
-    """Decode ``num_buckets`` frame-v3 bucket pairs from a varint reader.
-
-    Returns ``(deltas, counts)`` arrays and advances ``reader`` past the
-    consumed bytes; malformed input raises the codec's historical exceptions.
-    """
-    return _backend().decode_bucket_pairs(reader, num_buckets)
-
-
-def encode_proto_bins(keys, counts) -> bytes:
-    """Encode sparse bins as DataDog-proto ``binCounts`` map entries.
-
-    The interop codec's (:mod:`repro.serialization.interop`) bucket loop:
-    each ``(key, count)`` becomes one length-delimited map-entry submessage
-    (``sint32`` zig-zag key + ``double`` count).  The zig-zag/float pair
-    bytes inside every entry come from :func:`encode_bucket_pairs`, so the
-    proto bytes are identical under both kernel backends wherever the
-    frame-v3 bucket bytes are.
-    """
-    return _backend().encode_proto_bins(keys, counts)
+    if scratch is None:
+        flat = group_indices * span + (keys - offset)
+    else:
+        flat = scratch.flat_index(keys.size)
+        np.multiply(group_indices, span, out=flat)
+        np.add(flat, keys, out=flat)
+        if offset:
+            flat -= offset
+    cells = np.bincount(flat, weights=weights, minlength=num_groups * span)
+    return cells.reshape(num_groups, span)

@@ -4,22 +4,17 @@ Every ingest path in the repository — scalar :meth:`~repro.core.BaseDDSketch.a
 :meth:`~repro.core.BaseDDSketch.add_batch`, and the grouped high-cardinality
 pipeline — now speaks the same language: a batch of values is split by sign,
 mapped to integer bucket keys, binned into contiguous ``(keys, counts)``
-*segments*, and fanned out into stores.  This module holds the shared,
-backend-independent half of that pipeline:
+*segments*, and fanned out into stores.  This module holds the value and
+container half of that pipeline:
 
 * :func:`coerce_values_weights` — the single audited entry point for the
   zero/negative/NaN filtering that ``add_batch`` and ``add_grouped_batch``
   previously each reimplemented,
 * :func:`classify_value` — the scalar sign split used by ``add``/``delete``,
-* :class:`SignSplit` / :class:`Selection` — the lazy result objects produced
-  by a backend's key-computation pass, and
+* :class:`SignSplit` / :class:`Selection` — the sign split of a batch and
+  one sign's keyed slice of it, and
 * :func:`apply_segments` — the fan-out of pre-binned rows into stores via
   their ``_add_binned_segment`` hook.
-
-Everything numerically order-sensitive (pairwise ``numpy.sum`` weight totals,
-min/max reductions) lives *here*, in shared NumPy code operating on identical
-arrays regardless of backend — which is what guarantees that the NumPy and
-native backends produce bit-identical sketches down to the serialized bytes.
 """
 
 from __future__ import annotations
@@ -104,166 +99,88 @@ def classify_value(mapping, value: float) -> Tuple[int, int]:
 class Selection:
     """One sign's slice of a batch, ready to be binned into a store.
 
-    Produced by :meth:`SignSplit.selection`.  Carries everything a store
-    adapter needs to place its window and accumulate the batch:
+    Built by :meth:`SignSplit.selection` for value batches and directly by
+    :meth:`~repro.store.DenseStore.add_batch` for already-keyed batches.
+    Carries everything a store adapter needs to place its window and
+    accumulate the batch:
 
-    * ``count`` — number of selected samples,
+    * ``keys`` — non-empty flat ``int64`` bucket keys,
+    * ``weights`` — per-sample weights, or ``None`` for unit weights,
     * ``min_key`` / ``max_key`` — key range of the selection,
-    * ``total`` — total selected weight, computed in shared NumPy code
-      (``float(count)`` for unit weights, a pairwise ``numpy.sum`` of the
-      compressed weights otherwise) so it is identical across backends,
-    * ``weights`` — compressed per-sample weights, or ``None`` for unit
-      weights,
-    * ``keys`` — compressed ``int64`` bucket keys (materialized lazily; the
-      native backend can bin directly from its flagged full-batch arrays
-      without ever compressing).
+    * ``total`` — total selected weight (``float(keys.size)`` for unit
+      weights, a pairwise ``numpy.sum`` of the weights otherwise).
     """
 
-    __slots__ = ("count", "min_key", "max_key", "total", "weights", "_keys", "_split", "_sign")
+    __slots__ = ("keys", "weights", "min_key", "max_key", "total")
 
-    def __init__(
-        self,
-        count: int,
-        min_key: int,
-        max_key: int,
-        total: float,
-        weights: Optional["np.ndarray"],
-        keys: Optional["np.ndarray"] = None,
-        split: Optional["SignSplit"] = None,
-        sign: int = ZERO,
-    ) -> None:
-        self.count = int(count)
-        self.min_key = int(min_key)
-        self.max_key = int(max_key)
-        self.total = float(total)
+    def __init__(self, keys: "np.ndarray", weights: Optional["np.ndarray"] = None) -> None:
+        self.keys = keys
         self.weights = weights
-        self._keys = keys
-        self._split = split
-        self._sign = sign
-
-    @property
-    def keys(self) -> "np.ndarray":
-        """The selection's compressed ``int64`` bucket keys (lazy)."""
-        if self._keys is None:
-            assert self._split is not None
-            self._keys = self._split.keys_for(self._sign)
-        return self._keys
-
-    @property
-    def split(self) -> Optional["SignSplit"]:
-        """The originating :class:`SignSplit` (``None`` for raw-key selections)."""
-        return self._split
-
-    @property
-    def sign(self) -> int:
-        """Which sign of the split this selection covers."""
-        return self._sign
-
-
-def selection_from_keys(
-    keys: "np.ndarray", weights: Optional["np.ndarray"]
-) -> Selection:
-    """Wrap an already-keyed batch (e.g. a decoded store payload) as a selection.
-
-    Used by :meth:`~repro.store.DenseStore.add_batch` so that direct
-    key-level bulk insertion rides the same binning kernel as the
-    value-level ingest paths.  ``keys`` must be a non-empty flat ``int64``
-    array; ``weights`` either ``None`` or strictly positive finite floats of
-    the same length (the store adapter validates this upstream).
-    """
-    total = float(weights.sum()) if weights is not None else float(keys.size)
-    return Selection(
-        count=keys.size,
-        min_key=int(keys.min()),
-        max_key=int(keys.max()),
-        total=total,
-        weights=weights,
-        keys=keys,
-    )
+        self.min_key = int(keys.min())
+        self.max_key = int(keys.max())
+        self.total = float(keys.size) if weights is None else float(weights.sum())
 
 
 class SignSplit:
-    """Result of a backend's sign-split + key-computation pass over a batch.
+    """Sign split of a value batch against a mapping (:func:`repro.kernel.compute_keys`).
 
-    Concrete subclasses are produced by the active backend
-    (:func:`repro.kernel.compute_keys`); they differ in *how* the split is
-    represented (eager NumPy masks vs. a flagged full-batch key array from
-    the native pass) but expose one protocol:
-
-    * :attr:`num_positive` / :attr:`num_negative` — selected sample counts,
-    * :meth:`mask_for` — full-length boolean mask per sign,
-    * :meth:`keys_for` — compressed ``int64`` keys per sign (magnitude keys
-      for the negative sign),
-    * :meth:`key_range` — ``(min_key, max_key)`` per sign,
-    * :meth:`selection` — package one sign (plus optional weights) for a
-      store adapter.
+    Values strictly above ``mapping.min_possible`` are :data:`POSITIVE`,
+    values strictly below its negation are :data:`NEGATIVE` (keyed by
+    magnitude), and the rest go to the zero bucket.  The masks are computed
+    up front; each sign's keys come from one
+    :meth:`~repro.mapping.KeyMapping.key_batch` call when asked for.
     """
 
-    __slots__ = ("values", "size", "num_positive", "num_negative")
+    __slots__ = ("values", "num_positive", "num_negative", "_mapping", "_masks")
 
-    def __init__(self, values: "np.ndarray", num_positive: int, num_negative: int) -> None:
+    def __init__(self, mapping, values: "np.ndarray") -> None:
+        min_possible = mapping.min_possible
+        positive_mask = values > min_possible
+        negative_mask = values < -min_possible
         self.values = values
-        self.size = int(values.size)
-        self.num_positive = int(num_positive)
-        self.num_negative = int(num_negative)
+        self.num_positive = int(np.count_nonzero(positive_mask))
+        self.num_negative = int(np.count_nonzero(negative_mask))
+        self._mapping = mapping
+        self._masks = {POSITIVE: positive_mask, NEGATIVE: negative_mask}
 
     @property
     def num_zero(self) -> int:
         """Number of samples routed to the zero bucket."""
-        return self.size - self.num_positive - self.num_negative
-
-    def mask_for(self, sign: int) -> "np.ndarray":
-        """Full-length boolean mask of the samples with the given sign."""
-        raise NotImplementedError
-
-    def keys_for(self, sign: int) -> "np.ndarray":
-        """Compressed ``int64`` bucket keys of the samples with the given sign."""
-        raise NotImplementedError
-
-    def key_range(self, sign: int) -> Tuple[int, int]:
-        """``(min_key, max_key)`` over the samples with the given sign."""
-        raise NotImplementedError
+        return self.values.size - self.num_positive - self.num_negative
 
     @property
     def positive_mask(self) -> "np.ndarray":
         """Mask of the strictly-positive (indexable) samples."""
-        return self.mask_for(POSITIVE)
+        return self._masks[POSITIVE]
 
     @property
     def negative_mask(self) -> "np.ndarray":
         """Mask of the strictly-negative (indexable) samples."""
-        return self.mask_for(NEGATIVE)
+        return self._masks[NEGATIVE]
 
     @property
     def zero_mask(self) -> "np.ndarray":
         """Mask of the samples routed to the zero bucket."""
-        return ~(self.mask_for(POSITIVE) | self.mask_for(NEGATIVE))
+        return ~(self._masks[POSITIVE] | self._masks[NEGATIVE])
+
+    def keys_for(self, sign: int) -> "np.ndarray":
+        """``int64`` bucket keys of the samples with the given sign, in input order."""
+        selected = self.values[self._masks[sign]]
+        if sign == NEGATIVE:
+            selected = -selected
+        return self._mapping.key_batch(selected)
+
+    def key_range(self, sign: int) -> Tuple[int, int]:
+        """``(min_key, max_key)`` over the samples with the given sign."""
+        keys = self.keys_for(sign)
+        return int(keys.min()), int(keys.max())
 
     def selection(
         self, sign: int, weight_array: Optional["np.ndarray"] = None
     ) -> Selection:
-        """Package one sign of the split (plus optional weights) for a store.
-
-        The weight compression and the pairwise total live here, in shared
-        code, so every backend hands the store bit-identical totals.
-        """
-        count = self.num_positive if sign == POSITIVE else self.num_negative
-        if weight_array is None:
-            weights = None
-            total = float(count)
-        else:
-            weights = weight_array[self.mask_for(sign)]
-            total = float(weights.sum())
-        min_key, max_key = self.key_range(sign)
-        return Selection(
-            count=count,
-            min_key=min_key,
-            max_key=max_key,
-            total=total,
-            weights=weights,
-            split=self,
-            sign=sign,
-        )
+        """Package one non-empty sign of the split (plus optional weights) for a store."""
+        weights = None if weight_array is None else weight_array[self._masks[sign]]
+        return Selection(self.keys_for(sign), weights)
 
 
 def apply_segments(

@@ -235,20 +235,6 @@ class KeyMapping(ABC):
     # Subclass hooks
     # ------------------------------------------------------------------ #
 
-    def _kernel_transform(self):
-        """Describe this mapping to the compiled ingest kernel, if possible.
-
-        Returns ``(mode, multiplier, key_offset)`` — where ``mode`` is one of
-        ``"log"``/``"linear"``/``"quadratic"``/``"cubic"`` — when the key
-        computation ``ceil(approx(x) * multiplier) + key_offset`` can be
-        evaluated by :mod:`repro.kernel.native`'s fused C pass, or ``None``
-        when it cannot (the kernel then transparently uses this mapping's
-        :meth:`key_batch` through the NumPy reference backend, so subclassing
-        a mapping never changes results — only speed).  Concrete built-in
-        mappings override this with an exact-type guard for the same reason.
-        """
-        return None
-
     @abstractmethod
     def _log_gamma(self, value: float) -> float:
         """Return (an approximation of) ``log_gamma(value)`` scaled for keys."""

@@ -176,12 +176,6 @@ class LinearlyInterpolatedMapping(_InterpolatedMapping):
 
     _MIN_SLOPE = 1.0  # min of d(approx)/d(log2) over an octave, divided by ln 2
 
-    def _kernel_transform(self):
-        """Kernel spec ``("linear", multiplier, offset)`` for exact instances."""
-        if type(self) is LinearlyInterpolatedMapping:
-            return ("linear", self._multiplier, self._offset)
-        return None
-
     def _approx(self, significand: float) -> float:
         return significand - 1.0
 
@@ -204,12 +198,6 @@ class QuadraticallyInterpolatedMapping(_InterpolatedMapping):
     """
 
     _MIN_SLOPE = 4.0 / 3.0
-
-    def _kernel_transform(self):
-        """Kernel spec ``("quadratic", multiplier, offset)`` for exact instances."""
-        if type(self) is QuadraticallyInterpolatedMapping:
-            return ("quadratic", self._multiplier, self._offset)
-        return None
 
     def _approx(self, significand: float) -> float:
         t = significand - 1.0
@@ -244,12 +232,6 @@ class CubicallyInterpolatedMapping(_InterpolatedMapping):
     _B = -3.0 / 5.0
     _C = 10.0 / 7.0
     _MIN_SLOPE = 10.0 / 7.0
-
-    def _kernel_transform(self):
-        """Kernel spec ``("cubic", multiplier, offset)`` for exact instances."""
-        if type(self) is CubicallyInterpolatedMapping:
-            return ("cubic", self._multiplier, self._offset)
-        return None
 
     def _approx(self, significand: float) -> float:
         t = significand - 1.0

@@ -29,18 +29,6 @@ class LogarithmicMapping(KeyMapping):
         # log(x) * multiplier == log_gamma(x)
         self._multiplier *= 1.0
 
-    def _kernel_transform(self):
-        """Kernel spec: ``("log", multiplier, offset)`` for exact instances.
-
-        The native kernel still consumes a precomputed ``numpy.log`` array
-        for this mode (libm's ``log`` is not bit-identical to NumPy's), so
-        only the ceil/offset/cast tail and the sign split fuse into C.
-        Subclasses are excluded so an overridden ``key_batch`` stays law.
-        """
-        if type(self) is LogarithmicMapping:
-            return ("log", self._multiplier, self._offset)
-        return None
-
     def _log_gamma(self, value: float) -> float:
         return math.log(value) * self._multiplier
 

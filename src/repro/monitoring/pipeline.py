@@ -27,7 +27,6 @@ import numpy as np
 from repro.baselines.exact import ExactQuantiles
 from repro.core.ddsketch import BaseDDSketch, DDSketch
 from repro.datasets.synthetic import web_latency_values
-from repro import kernel
 from repro.exceptions import EmptySketchError, IllegalArgumentError
 from repro.monitoring.agent import MetricAgent
 from repro.monitoring.aggregator import Aggregator
@@ -47,9 +46,6 @@ class SimulationReport:
     series_cardinality: int = 1
     num_series: int = 1
     shards: int = 1
-    #: Which ingest-kernel backend (``numpy``/``native``) produced the run —
-    #: recorded so benchmark output stays comparable across machines.
-    kernel_backend: str = "numpy"
     average_series: List[Tuple[float, float]] = field(default_factory=list)
     p50_series: List[Tuple[float, float]] = field(default_factory=list)
     p75_series: List[Tuple[float, float]] = field(default_factory=list)
@@ -313,5 +309,4 @@ class MonitoringSimulation:
             overall_quantiles=overall,
             exact_quantiles=exact,
             endpoint_p99=endpoint_p99,
-            kernel_backend=kernel.active_backend(),
         )

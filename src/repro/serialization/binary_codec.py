@@ -317,8 +317,6 @@ def decode_sketch(payload: bytes, sketch_cls: Any = None) -> Any:
     if isinstance(sketch, UDDSketch):
         sketch._collapse_count = collapse_count
         sketch._initial_relative_accuracy = initial_accuracy
-        if isinstance(store, UniformCollapsingDenseStore):
-            sketch._bin_limit = store.bin_limit
     return sketch
 
 

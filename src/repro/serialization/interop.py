@@ -61,9 +61,8 @@ fuzz-hardened: truncated varints, absurd declared lengths, unsupported wire
 types, non-finite or negative counts, bucket spans implying giant
 allocations, and inconsistent collapse state all raise
 :class:`~repro.exceptions.DeserializationError` — never an ``IndexError``
-or ``MemoryError`` from the internals.  The per-bucket encode loop routes
-through :func:`repro.kernel.encode_proto_bins`, so proto bytes are
-identical under both kernel backends wherever frame-v3 bytes are.
+or ``MemoryError`` from the internals.  The per-bucket encode loop is
+:func:`repro.kernel.encode_proto_bins`.
 """
 
 from __future__ import annotations
@@ -687,6 +686,4 @@ def sketch_from_proto(payload: bytes, sketch_cls: Any = None) -> Any:
     if isinstance(sketch, UDDSketch):
         sketch._collapse_count = collapse_count
         sketch._initial_relative_accuracy = initial_accuracy
-        if isinstance(store, UniformCollapsingDenseStore):
-            sketch._bin_limit = store.bin_limit
     return sketch

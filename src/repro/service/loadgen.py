@@ -38,7 +38,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro import kernel
 from repro.core.ddsketch import DDSketch
 from repro.exceptions import IllegalArgumentError, ServiceError
 from repro.registry import SeriesKey, SketchRegistry
@@ -173,7 +172,6 @@ def run_load_generator(
         "mb_per_sec": bytes_on_wire / elapsed / 1e6,
         "reference_match": True,
         "p99": served[2],
-        "kernel_backend": kernel.active_backend(),
     }
 
 

@@ -112,7 +112,7 @@ class DenseStore(Store):
             # scalar path; route mixed batches through it unchanged.
             super().add_batch(keys, weights)
             return
-        self._add_selection(kernel.selection_from_keys(keys, weights))
+        self._add_selection(kernel.Selection(keys, weights))
 
     def _add_selection(self, selection) -> None:
         """Bin a kernel selection straight into the counter window.
@@ -120,7 +120,7 @@ class DenseStore(Store):
         The allocation (or, for the bounded subclasses, the collapsed
         window) is extended a single time to cover the selection's
         ``[min_key, max_key]`` span via :meth:`_batch_extend_range`, after
-        which the active kernel backend accumulates all counters with one
+        which the kernel accumulates all counters with one
         binning pass (:func:`repro.kernel.bin_selection`) over the exact
         window slice the selection touches — keys falling outside a bounded
         window are folded onto the boundary buckets, which is where the

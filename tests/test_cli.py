@@ -105,34 +105,15 @@ class TestBoundsCommand:
 
 
 class TestVersionCommand:
-    def test_version_reports_package_and_kernel_backend(self):
+    def test_version_reports_package_kernel_and_compression(self):
         import repro
-        from repro import kernel
 
         exit_code, output = run_cli(["version"])
         assert exit_code == 0
         assert repro.__version__ in output
-        assert "kernel backend" in output
-        assert kernel.active_backend() in output
-        assert "REPRO_KERNEL" in output
-
-    def test_version_reports_unavailability_reason(self, monkeypatch):
-        from repro import kernel
-
-        monkeypatch.setattr(
-            kernel,
-            "backend_info",
-            lambda: {
-                "active": "numpy",
-                "native_available": False,
-                "native_unavailable_reason": "no C compiler found",
-                "env": None,
-            },
-        )
-        exit_code, output = run_cli(["version"])
-        assert exit_code == 0
-        assert "no C compiler found" in output
-        assert "(unset)" in output
+        assert "kernel backend" in output and "numpy" in output
+        assert "frame compression" in output and "zlib" in output
+        assert "native" not in output
 
 
 class TestParser:
@@ -163,7 +144,6 @@ class TestSimulateCommand:
         assert exit_code == 0
         assert "shards = 3" in output
         assert "tag-filtered p99 per endpoint" in output
-        assert "kernel backend" in output
 
     def test_simulate_rejects_invalid_shards(self):
         exit_code, output = run_cli(

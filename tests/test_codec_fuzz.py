@@ -130,22 +130,33 @@ class TestBinaryFuzz:
             BaseDDSketch.from_bytes(corrupted)
 
     def test_absurd_key_span_is_rejected_without_allocation(self) -> None:
-        """Two buckets a trillion keys apart must not allocate a dense span."""
+        """Two buckets a trillion keys apart must not allocate a dense span,
+        and a key delta outside int64 must not escape as ``OverflowError``,
+        whether the sketch is decoded alone or inside a frame."""
         from repro.serialization.encoding import encode_float, encode_varint, encode_zigzag
 
         header = _PAYLOAD[: self._FIRST_STORE_OFFSET]
-        corrupted = (
-            header
-            + encode_varint(0)
-            + encode_varint(0)
-            + encode_varint(2)
-            + encode_zigzag(0)
-            + encode_float(1.0)
-            + encode_zigzag(1 << 40)
-            + encode_float(1.0)
-        )
-        with pytest.raises(DeserializationError, match="key span"):
-            BaseDDSketch.from_bytes(corrupted)
+        for far_delta, match in ((1 << 40, "key span"), (2**64, "int64")):
+            corrupted = (
+                header
+                + encode_varint(0)
+                + encode_varint(0)
+                + encode_varint(2)
+                + encode_zigzag(0)
+                + encode_float(1.0)
+                + encode_zigzag(far_delta)
+                + encode_float(1.0)
+            )
+            # A one-series, untagged frame carrying the corrupted sketch.
+            frame = (
+                b"DD" + encode_varint(3) + encode_varint(1)
+                + encode_varint(1) + b"m" + encode_varint(0)
+                + encode_varint(len(corrupted)) + corrupted
+            )
+            with pytest.raises(DeserializationError, match=match):
+                BaseDDSketch.from_bytes(corrupted)
+            with pytest.raises(DeserializationError, match=match):
+                decode_frame(frame)
 
     def test_trailing_garbage_is_rejected(self) -> None:
         with pytest.raises(DeserializationError):

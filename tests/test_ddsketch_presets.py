@@ -10,6 +10,7 @@ from repro import (
     LogUnboundedDenseDDSketch,
     PaperDDSketch,
     SparseDDSketch,
+    UDDSketch,
 )
 from repro.core.protocol import (
     QuantileSketch,
@@ -19,6 +20,7 @@ from repro.core.protocol import (
     sketch_metadata,
 )
 from repro.mapping import CubicallyInterpolatedMapping, LinearlyInterpolatedMapping, LogarithmicMapping
+from repro.serialization import sketch_from_proto, sketch_to_proto
 from repro.store import (
     CollapsingHighestDenseStore,
     CollapsingLowestDenseStore,
@@ -73,6 +75,32 @@ class TestPresetConfigurations:
     def test_bin_limit_exposed(self):
         assert LogCollapsingLowestDenseDDSketch(bin_limit=123).bin_limit == 123
         assert FastDDSketch(bin_limit=77).bin_limit == 77
+
+    @pytest.mark.parametrize("decoder", ["from_bytes", "from_dict", "proto"])
+    @pytest.mark.parametrize(
+        "family",
+        [
+            DDSketch,  # PaperDDSketch is the same class
+            FastDDSketch,
+            LogCollapsingLowestDenseDDSketch,
+            LogCollapsingHighestDenseDDSketch,
+            UDDSketch,
+        ],
+    )
+    def test_decoded_bounded_sketch_keeps_its_bin_limit(self, family, decoder):
+        sketch = family(relative_accuracy=0.02, bin_limit=96)
+        sketch.add_all([0.5 * 1.1**i for i in range(300)])
+        if decoder == "from_bytes":
+            decoded = family.from_bytes(sketch.to_bytes())
+        elif decoder == "from_dict":
+            decoded = family.from_dict(sketch.to_dict())
+        else:
+            decoded = sketch_from_proto(sketch_to_proto(sketch), sketch_cls=family)
+        assert type(decoded) is family
+        assert decoded.bin_limit == 96
+        copied = decoded.copy()
+        assert copied.bin_limit == 96
+        assert copied.to_bytes() == sketch.to_bytes()
 
     @pytest.mark.parametrize("preset", ALL_PRESETS)
     def test_every_preset_keeps_the_accuracy_guarantee(self, preset, rng):

@@ -9,9 +9,7 @@ zlib-compressed frame-v3 corpus, all generated deterministically by
   statistics, quantiles, store/mapping families, and collapse state
   *exactly* (float equality, not approximate);
 * re-encoding the decoded objects reproduces the committed bytes
-  byte-for-byte — the encoders are deterministic functions of sketch state;
-* both kernel backends produce those identical bytes (the native backend
-  leg skips where the compiled kernel is unavailable).
+  byte-for-byte — the encoders are deterministic functions of sketch state.
 
 A failure here means the wire format changed.  If the change is
 intentional, regenerate the corpus and let the ``.bin`` diff document it;
@@ -26,9 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import kernel
 from repro.core import UDDSketch
-from repro.kernel.native import availability
 from repro.serialization import (
     compress_frame,
     decode_frame,
@@ -43,20 +39,6 @@ from repro.serialization import (
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
 
-_NATIVE_AVAILABLE, _NATIVE_REASON = availability()
-
-BACKENDS = ["numpy"] + (["native"] if _NATIVE_AVAILABLE else [])
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    kernel.set_backend(request.param)
-    try:
-        yield request.param
-    finally:
-        kernel.set_backend("auto")
-
-
 def _load(entry):
     payload = (GOLDEN / entry["file"]).read_bytes()
     assert hashlib.sha256(payload).hexdigest() == entry["sha256"], (
@@ -70,7 +52,7 @@ PROTO_CASES = sorted(MANIFEST["proto"])
 
 class TestProtoGoldenVectors:
     @pytest.mark.parametrize("case", PROTO_CASES)
-    def test_decode_matches_manifest_exactly(self, backend, case):
+    def test_decode_matches_manifest_exactly(self, case):
         entry = MANIFEST["proto"][case]
         sketch = sketch_from_proto(_load(entry))
         expect = entry["expect"]
@@ -88,19 +70,19 @@ class TestProtoGoldenVectors:
             assert sketch.quantile(float(q)) == value, f"quantile {q} drifted"
 
     @pytest.mark.parametrize("case", PROTO_CASES)
-    def test_reencode_is_byte_identical(self, backend, case):
+    def test_reencode_is_byte_identical(self, case):
         entry = MANIFEST["proto"][case]
         payload = _load(entry)
         sketch = sketch_from_proto(payload)
         assert sketch_to_proto(sketch, extensions=entry["lossless"]) == payload
 
-    def test_udd_fixture_is_mid_collapse(self, backend):
+    def test_udd_fixture_is_mid_collapse(self):
         sketch = sketch_from_proto(_load(MANIFEST["proto"]["udd_collapsed"]))
         assert isinstance(sketch, UDDSketch)
         assert sketch.collapse_count > 0
         assert sketch.store.collapse_count > 0
 
-    def test_reference_schema_fixture_carries_no_extensions(self, backend):
+    def test_reference_schema_fixture_carries_no_extensions(self):
         # The reference fixture is what a DataDog encoder would emit: no
         # field numbers >= 100 anywhere.  Cheap structural scan: our own
         # extension re-encode of its decode must be strictly larger.
@@ -111,7 +93,7 @@ class TestProtoGoldenVectors:
 
 
 class TestFrameGoldenVectors:
-    def test_raw_frame_decodes_and_reencodes(self, backend):
+    def test_raw_frame_decodes_and_reencodes(self):
         spec = MANIFEST["frame"]
         raw = (GOLDEN / spec["raw_file"]).read_bytes()
         assert hashlib.sha256(raw).hexdigest() == spec["raw_sha256"]
@@ -125,7 +107,7 @@ class TestFrameGoldenVectors:
             assert hashlib.sha256(encoded).hexdigest() == expect["sketch_sha256"]
         assert encode_frame(entries) == raw
 
-    def test_zlib_fixture_decompresses_to_the_raw_bytes(self, backend):
+    def test_zlib_fixture_decompresses_to_the_raw_bytes(self):
         spec = MANIFEST["frame"]
         raw = (GOLDEN / spec["raw_file"]).read_bytes()
         compressed = (GOLDEN / spec["zlib_file"]).read_bytes()

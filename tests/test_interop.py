@@ -7,9 +7,6 @@ collapse state of a mid-collapse UDDSketch.  The documented lossy direction
 — a pure reference-schema payload, as DataDog's own encoders produce —
 must still preserve counts exactly and every quantile to within the
 mapping's relative accuracy.
-
-Both kernel backends are exercised where the compiled kernel is available,
-and the proto bytes themselves must be backend-independent.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import kernel
 from repro.core import (
     BaseDDSketch,
     DDSketch,
@@ -32,7 +28,6 @@ from repro.core import (
     UDDSketch,
 )
 from repro.exceptions import DeserializationError
-from repro.kernel.native import availability
 from repro.mapping import (
     CubicallyInterpolatedMapping,
     LinearlyInterpolatedMapping,
@@ -40,9 +35,6 @@ from repro.mapping import (
     QuadraticallyInterpolatedMapping,
 )
 from repro.serialization import encode_sketch, sketch_from_proto, sketch_to_proto
-
-_NATIVE_AVAILABLE, _ = availability()
-BACKENDS = ["numpy"] + (["native"] if _NATIVE_AVAILABLE else [])
 
 VARIANTS = {
     "default": lambda: DDSketch(relative_accuracy=0.02),
@@ -63,15 +55,6 @@ _magnitudes = st.floats(
 )
 _values = st.one_of(st.just(0.0), _magnitudes, _magnitudes.map(lambda x: -x))
 _quantiles = (0.0, 0.01, 0.25, 0.5, 0.75, 0.99, 1.0)
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    kernel.set_backend(request.param)
-    try:
-        yield request.param
-    finally:
-        kernel.set_backend("auto")
 
 
 def _build(variant: str, values: list) -> BaseDDSketch:
@@ -110,7 +93,7 @@ class TestLosslessRoundTrip:
         assert sketch_to_proto(sketch) == payload
         assert sketch_to_proto(sketch_from_proto(payload)) == payload
 
-    def test_mid_collapse_uddsketch_survives_with_lineage(self, backend) -> None:
+    def test_mid_collapse_uddsketch_survives_with_lineage(self) -> None:
         sketch = UDDSketch(relative_accuracy=0.005, bin_limit=32)
         sketch.add_batch(np.logspace(-4.0, 6.0, 5000))
         sketch.add_batch(-np.logspace(-2.0, 3.0, 800))
@@ -139,32 +122,14 @@ class TestLosslessRoundTrip:
             CubicallyInterpolatedMapping,
         ],
     )
-    def test_every_mapping_family_round_trips(self, backend, mapping_cls) -> None:
+    def test_every_mapping_family_round_trips(self, mapping_cls) -> None:
         sketch = DDSketch(relative_accuracy=0.01, mapping=mapping_cls(0.01))
         sketch.add_batch(np.logspace(-2.0, 4.0, 300))
         decoded = sketch_from_proto(sketch_to_proto(sketch))
         assert type(decoded.mapping) is mapping_cls
         assert encode_sketch(decoded) == encode_sketch(sketch)
 
-    def test_proto_bytes_are_backend_independent(self) -> None:
-        if not _NATIVE_AVAILABLE:
-            pytest.skip("compiled kernel unavailable")
-        rng = np.random.default_rng(17)
-        sketches = [
-            _build("sparse", list(rng.lognormal(0.0, 3.0, 2000))),
-            _build("uniform", list(rng.lognormal(0.0, 5.0, 4000))),
-            _build("default", list(rng.lognormal(0.0, 2.0, 1000))),
-        ]
-        try:
-            kernel.set_backend("numpy")
-            numpy_bytes = [sketch_to_proto(s) for s in sketches]
-            kernel.set_backend("native")
-            native_bytes = [sketch_to_proto(s) for s in sketches]
-        finally:
-            kernel.set_backend("auto")
-        assert numpy_bytes == native_bytes
-
-    def test_explicit_sketch_cls_pins_and_rejects(self, backend) -> None:
+    def test_explicit_sketch_cls_pins_and_rejects(self) -> None:
         plain = sketch_to_proto(_build("default", [1.0, 2.0]))
         uniform = sketch_to_proto(_build("uniform", [1.0, 2.0]))
         assert isinstance(sketch_from_proto(uniform), UDDSketch)
@@ -202,7 +167,7 @@ class TestReferenceSchemaDirection:
         assert abs(decoded.max - sketch.max) <= alpha * abs(sketch.max) + 1e-12
         assert abs(decoded.sum - sketch.sum) <= alpha * np.abs(values).sum() + 1e-9
 
-    def test_reference_store_families_default_to_schema_shapes(self, backend) -> None:
+    def test_reference_store_families_default_to_schema_shapes(self) -> None:
         dense = sketch_from_proto(
             sketch_to_proto(_build("default", [1.0, 2.0, 3.0]), extensions=False)
         )
@@ -212,12 +177,12 @@ class TestReferenceSchemaDirection:
         assert type(dense.store).__name__ == "DenseStore"
         assert type(sparse.store).__name__ == "SparseStore"
 
-    def test_empty_reference_payload_decodes_empty(self, backend) -> None:
+    def test_empty_reference_payload_decodes_empty(self) -> None:
         decoded = sketch_from_proto(sketch_to_proto(DDSketch(0.02), extensions=False))
         assert decoded.count == 0
         assert decoded.zero_count == 0
 
-    def test_zero_only_reference_payload(self, backend) -> None:
+    def test_zero_only_reference_payload(self) -> None:
         sketch = DDSketch(relative_accuracy=0.02)
         sketch.add(0.0, 5.0)
         decoded = sketch_from_proto(sketch_to_proto(sketch, extensions=False))
@@ -226,7 +191,7 @@ class TestReferenceSchemaDirection:
         assert decoded.min == 0.0 and decoded.max == 0.0
         assert decoded.quantile(0.5) == 0.0
 
-    def test_foreign_unknown_fields_are_skipped(self, backend) -> None:
+    def test_foreign_unknown_fields_are_skipped(self) -> None:
         """A payload from a *newer* reference schema (extra fields we have
         never seen) must decode by skipping them, as protobuf requires."""
         from repro.serialization.interop import (
@@ -245,7 +210,7 @@ class TestReferenceSchemaDirection:
         decoded = sketch_from_proto(payload)
         assert math.isclose(decoded.count, sketch.count, rel_tol=1e-12)
 
-    def test_foreign_nonzero_index_offset_round_trips(self, backend) -> None:
+    def test_foreign_nonzero_index_offset_round_trips(self) -> None:
         """DataDog mappings may carry a non-zero indexOffset; it must
         survive decode and re-encode."""
         sketch = DDSketch(

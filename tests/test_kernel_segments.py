@@ -6,7 +6,8 @@ zero/negative/NaN filtering independently; both now funnel through
 :func:`repro.kernel.compute_keys`.  These tests pin the consolidated
 semantics directly at the kernel boundary — empty batches, all-zero batches,
 mixed signs, non-finite rejection, scalar-weight broadcast, shape and
-positivity validation — plus the backend-selection surface.
+positivity validation — plus the backend-selection surface that remains
+(``set_backend``/``active_backend`` accept and report only ``numpy``).
 """
 
 import numpy as np
@@ -104,7 +105,7 @@ class TestComputeKeys:
         weights = np.array([0.5, 2.0, 1.25, 8.0])
         split = kernel.compute_keys(mapping, values)
         positive = split.selection(kernel.POSITIVE, weights)
-        assert positive.count == 2
+        assert positive.keys.size == 2
         assert positive.total == float(np.array([0.5, 1.25]).sum())
         np.testing.assert_array_equal(positive.weights, np.array([0.5, 1.25]))
         unit = split.selection(kernel.NEGATIVE)
@@ -137,21 +138,11 @@ class TestSketchLevelEdgeCases:
 
 
 class TestBackendSelection:
-    def test_unknown_backend_rejected(self):
+    @pytest.mark.parametrize("name", ["cuda", "native", "auto"])
+    def test_unknown_backend_rejected(self, name):
         with pytest.raises(IllegalArgumentError, match="unknown kernel backend"):
-            kernel.set_backend("cuda")
+            kernel.set_backend(name)
 
     def test_numpy_backend_always_selectable(self):
-        before = kernel.active_backend()
-        try:
-            assert kernel.set_backend("numpy") == "numpy"
-            assert kernel.active_backend() == "numpy"
-        finally:
-            kernel.set_backend(before)
-
-    def test_backend_info_shape(self):
-        info = kernel.backend_info()
-        assert info["active"] in ("numpy", "native")
-        assert isinstance(info["native_available"], bool)
-        if not info["native_available"]:
-            assert info["native_unavailable_reason"]
+        assert kernel.set_backend("numpy") == "numpy"
+        assert kernel.active_backend() == "numpy"
