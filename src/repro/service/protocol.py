@@ -41,11 +41,17 @@ from __future__ import annotations
 import json
 import socket
 import struct
-from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.exceptions import DeserializationError, IllegalArgumentError
 from repro.serialization.encoding import VarintReader, encode_varint
+
+if TYPE_CHECKING:
+    from repro.core.ddsketch import BaseDDSketch
+    from repro.registry.series import SeriesKey
+
+    FrameEntries = List[Tuple[SeriesKey, BaseDDSketch]]
 
 MESSAGE_MAGIC = b"DM"
 ENVELOPE_MAGIC = b"DP"
@@ -180,17 +186,40 @@ def decode_json_body(payload: bytes) -> Dict[str, Any]:
 
 @dataclass(frozen=True)
 class PushEnvelope:
-    """One decoded push envelope: producer identity plus the carried frame."""
+    """One decoded push envelope: producer identity plus the carried frame.
+
+    ``entries`` holds the frame's decoded ``(series_key, sketch)`` pairs when
+    :func:`decode_push_envelope` validated the frame, so the apply path does
+    not decode it a second time; it takes no part in equality or ``repr``.
+    """
 
     host: str
     sequence: int
     interval_start: float
     frame: bytes
+    entries: Optional["FrameEntries"] = field(default=None, compare=False, repr=False)
 
     @property
     def identity(self) -> Tuple[str, int]:
         """The ``(host, sequence)`` deduplication identity."""
         return (self.host, self.sequence)
+
+    def take_entries(self) -> "FrameEntries":
+        """The frame's decoded entries, handed over to the caller.
+
+        The first call returns the entries decoded during validation (when
+        there are any) and drops them from the envelope, because the caller
+        adopts the sketches and may mutate them; every other call decodes
+        :attr:`frame` afresh.  Raises
+        :class:`~repro.exceptions.DeserializationError` for a corrupt frame.
+        """
+        entries = self.entries
+        if entries is None:
+            from repro.serialization.frame import decode_frame
+
+            return decode_frame(self.frame)
+        object.__setattr__(self, "entries", None)
+        return entries
 
 
 def encode_push_envelope(
@@ -223,9 +252,11 @@ def decode_push_envelope(payload: bytes, validate_frame: bool = False) -> PushEn
     """Decode a push envelope; optionally validate the embedded frame too.
 
     With ``validate_frame=True`` the embedded frame-v3 payload is fully
-    decoded (and discarded) so that a well-formed envelope is also known to
-    carry a well-formed frame — the server validates before persisting, so
-    the segment log only ever stores frames that decode.
+    decoded so that a well-formed envelope is also known to carry a
+    well-formed frame — the server validates before persisting, so the
+    segment log only ever stores frames that decode.  The decoded entries
+    ride on the returned envelope (:attr:`PushEnvelope.entries`), so
+    applying it does not decode the frame again.
 
     Raises
     ------
@@ -265,11 +296,14 @@ def decode_push_envelope(payload: bytes, validate_frame: bool = False) -> PushEn
     frame = reader.read_bytes(frame_length)
     if not reader.exhausted:
         raise DeserializationError(f"{reader.remaining} trailing bytes after the envelope")
+    entries = None
     if validate_frame:
         from repro.serialization.frame import decode_frame
 
-        decode_frame(frame)
-    return PushEnvelope(host=host, sequence=sequence, interval_start=interval_start, frame=frame)
+        entries = decode_frame(frame)
+    return PushEnvelope(
+        host=host, sequence=sequence, interval_start=interval_start, frame=frame, entries=entries
+    )
 
 
 def request(

@@ -12,6 +12,9 @@ applying and acknowledging it.  The accept path is therefore::
 
     decode envelope -> validate frame -> dedup -> log.append -> state.apply -> ACK
 
+Validation is the frame's only decode: the decoded series travel on the
+envelope into ``state.apply``.
+
 A frame is acknowledged only after it is durable, so a crash between append
 and ACK leaves the client unacknowledged: it retransmits, the server dedups,
 and state converges to exactly-once application (at-least-once on the wire,
@@ -716,10 +719,13 @@ class AggregationServer:
 
         The state payload is captured on the event loop (no concurrent
         mutation), then persisted on the same single-writer thread that
-        runs appends, so the log never sees two writers.
+        runs appends, so the log never sees two writers.  Frames applied
+        while the payload persists are not in it, so they still count
+        toward the next snapshot.
         """
         payload = self.state.to_snapshot()
         applied = self._last_applied_sequence
+        covered = self._frames_since_snapshot
         self._snapshot_in_progress = True
         try:
             if self._log_writer is not None:
@@ -731,7 +737,7 @@ class AggregationServer:
                 path = self._persist_snapshot(payload, applied)
         finally:
             self._snapshot_in_progress = False
-        self._frames_since_snapshot = 0
+        self._frames_since_snapshot -= covered
         return path
 
     def _persist_snapshot(self, payload: bytes, applied: int):

@@ -11,7 +11,8 @@ extended across process restarts).  It holds:
   :class:`~repro.registry.SketchRegistry` (the all-time quantile surface);
 * **windowed retention** — one registry per flush-interval bucket, bounded
   to the newest ``retention_intervals`` buckets, for "p99 over the last N
-  intervals" queries without keeping unbounded history;
+  intervals" queries without keeping unbounded history.  A windowed read
+  merges, bucket by bucket, only the series the query selects;
 * the **deduplication table** — a per-host high-watermark (every 1-based
   sequence ``<= watermark`` was applied) plus a bounded set of
   out-of-order sequences above it, so a retransmitted ``(host,
@@ -21,11 +22,18 @@ extended across process restarts).  It holds:
   monotonic per host, so the watermark absorbs the contiguous prefix and
   only in-flight reordering occupies memory.
 
+:meth:`ServiceState.apply` merges the entries the server already decoded
+while validating the push (:attr:`~repro.service.protocol.PushEnvelope.entries`),
+so a pushed frame is decoded once.
+
 The whole state round-trips through an opaque snapshot payload
 (:meth:`ServiceState.to_snapshot` / :meth:`ServiceState.from_snapshot`)
 that the segment log persists and CRC-checks; snapshot-then-replay is part
 of the bit-exactness contract and is pinned by
-``tests/test_service_recovery.py``.
+``tests/test_service_recovery.py``.  The encoded frame of each window bucket
+is kept until the bucket is next written or evicted, so a snapshot costs
+one encode of the merged registry plus one per bucket written since the
+previous snapshot.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.core.ddsketch import BaseDDSketch
 from repro.exceptions import DeserializationError, IllegalArgumentError
 from repro.registry import SketchRegistry
-from repro.registry.series import TagsLike
+from repro.registry.series import TagsLike, normalize_tags
 from repro.serialization.encoding import (
     VarintReader,
     encode_varint,
@@ -100,6 +108,9 @@ class ServiceState:
         self._dedup_window = int(dedup_window)
         self.registry = SketchRegistry(sketch_factory=sketch_factory)
         self._windows: Dict[int, SketchRegistry] = {}
+        # Encoded to_frame() bytes of window buckets unchanged since their
+        # last encoding; apply drops a bucket's entry when it merges into it.
+        self._window_frames: Dict[int, bytes] = {}
         self._max_bucket: Optional[int] = None
         # Dedup table: per-host contiguous-prefix watermark + the applied
         # sequences above it (out-of-order arrivals awaiting their gap).
@@ -166,18 +177,21 @@ class ServiceState:
 
         A duplicate ``(host, sequence)`` identity is counted and ignored
         (returns 0) — the exactly-once half of the delivery contract.
-        Raises :class:`~repro.exceptions.DeserializationError` when the
-        carried frame is corrupt; nothing is mutated in that case.
+        The entries :func:`~repro.service.protocol.decode_push_envelope`
+        decoded while validating are used as they are; the frame is only
+        decoded here when the envelope carries none.  Raises
+        :class:`~repro.exceptions.DeserializationError` when the carried
+        frame is corrupt; nothing is mutated in that case.
         """
-        from repro.serialization.frame import decode_frame
-
         if self.is_duplicate(envelope.host, envelope.sequence):
             self.duplicates_rejected += 1
             return 0
-        entries = decode_frame(envelope.frame)
+        entries = envelope.take_entries()
         self._mark_applied(envelope.host, envelope.sequence)
         bucket = self._bucket_of(envelope.interval_start)
         window = self._window_for(bucket)
+        if window is not None:
+            self._window_frames.pop(bucket, None)
         for key, sketch in entries:
             self.values_applied += sketch.count
             self.registry.merge_series(key, sketch)
@@ -214,6 +228,7 @@ class ServiceState:
         horizon = self._max_bucket - self._retention_intervals
         for bucket in [b for b in self._windows if b <= horizon]:
             del self._windows[bucket]
+            self._window_frames.pop(bucket, None)
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -243,12 +258,13 @@ class ServiceState:
         """Quantiles over the merged state or a retained time window.
 
         Without window bounds the all-time merged registry answers; with
-        bounds, the retained interval buckets intersecting
-        ``[window_start, window_end)`` are merged on read.  Raises
-        :class:`~repro.exceptions.EmptySketchError` when nothing matches —
-        never ``KeyError`` (the repository-wide unknown-series contract).
+        bounds, the series the query selects are merged on read from the
+        retained interval buckets intersecting ``[window_start,
+        window_end)``.  Raises :class:`~repro.exceptions.EmptySketchError`
+        when nothing matches — never ``KeyError`` (the repository-wide
+        unknown-series contract).
         """
-        source = self._windowed_registry(window_start, window_end)
+        source = self._windowed_registry(window_start, window_end, metric, tags, tag_filter)
         return source.quantiles(metric, quantiles, tags=tags, tag_filter=tag_filter)
 
     def threshold_query(
@@ -270,17 +286,31 @@ class ServiceState:
         """
         from repro.query import QueryEngine
 
-        source = self._windowed_registry(window_start, window_end)
+        source = self._windowed_registry(window_start, window_end, metric, None, tag_filter)
         engine = QueryEngine.over_registry(source)
         return engine.threshold_query(
             metric, quantile, threshold, above=above, tag_filter=tag_filter
         )
 
     def _windowed_registry(
-        self, window_start: Optional[float], window_end: Optional[float]
+        self,
+        window_start: Optional[float],
+        window_end: Optional[float],
+        metric: str,
+        tags: TagsLike,
+        tag_filter: TagsLike,
     ) -> SketchRegistry:
+        """The registry a query reads: the merged state, or a window of it.
+
+        A windowed registry holds only the series of ``metric`` that equal
+        ``tags`` and carry every ``tag_filter`` pair, each merged per series
+        in bucket order — so every answer over it is bit-identical to one
+        over all series of the window.
+        """
         if window_start is None and window_end is None:
             return self.registry
+        exact = None if tags is None else normalize_tags(tags)
+        wanted = frozenset(normalize_tags(tag_filter))
         merged = SketchRegistry(sketch_factory=self._sketch_factory)
         low = self._bucket_of(window_start) if window_start is not None else None
         for bucket in self.window_buckets():
@@ -290,7 +320,10 @@ class ServiceState:
             # [window_start, window_end) iff its own start is before the end.
             if window_end is not None and bucket * self._interval_length >= window_end:
                 continue
-            merged.merge(self._windows[bucket])
+            window = self._windows[bucket]
+            for key in window.series_keys(metric):
+                if (exact is None or key.tags == exact) and wanted.issubset(key.tags):
+                    merged.merge_series(key, window.get(key))
         return merged
 
     # ------------------------------------------------------------------ #
@@ -307,7 +340,10 @@ class ServiceState:
         parts.append(encode_varint(1 if self._max_bucket is not None else 0))
         parts.append(encode_varint(len(self._windows)))
         for bucket in self.window_buckets():
-            frame = self._windows[bucket].to_frame()
+            frame = self._window_frames.get(bucket)
+            if frame is None:
+                frame = self._windows[bucket].to_frame()
+                self._window_frames[bucket] = frame
             parts.append(encode_zigzag(bucket))
             parts.append(encode_varint(len(frame)))
             parts.append(frame)
@@ -370,9 +406,13 @@ class ServiceState:
                 frame_length = reader.read_varint()
                 if frame_length > reader.remaining:
                     raise DeserializationError("snapshot window frame exceeds the payload")
+                frame = reader.read_bytes(frame_length)
                 window = SketchRegistry(sketch_factory=sketch_factory)
-                window.merge_frame(reader.read_bytes(frame_length))
+                window.merge_frame(frame)
                 state._windows[bucket] = window
+                # Decoding then re-encoding a window frame is byte-identical,
+                # so the bytes just read are this bucket's encoding.
+                state._window_frames[bucket] = frame
             num_hosts = reader.read_varint()
             if num_hosts > reader.remaining:
                 raise DeserializationError("snapshot host count exceeds the payload")
